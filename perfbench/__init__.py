@@ -1,0 +1,5 @@
+"""Campaign benchmark: end-to-end throughput and a per-layer cost trace.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
