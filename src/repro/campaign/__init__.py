@@ -19,7 +19,10 @@ they all run on:
 * an append-only JSONL result store with a manifest that makes any
   campaign resumable after interruption (:mod:`repro.campaign.store`);
 * per-shard throughput / cache / retry telemetry
-  (:mod:`repro.campaign.telemetry`).
+  (:mod:`repro.campaign.telemetry`);
+* one function, :func:`~repro.campaign.plans.run_campaign`, that every
+  entry point (CLI, library, smoke tests) runs campaigns through, so
+  every campaign gets the same fingerprint guard and store layout.
 
 ``python -m repro.campaign`` exposes ``run`` / ``resume`` / ``status`` /
 ``verify`` / ``repair`` / ``smoke`` / ``chaos-smoke`` on top of the
@@ -40,7 +43,7 @@ from repro.campaign.engine import (
     shard_of,
 )
 from repro.campaign.goldens import GOLDEN_CACHE, GoldenCache, GoldenRun, golden_key
-from repro.campaign.plans import CampaignPlan, chunked, get_spec
+from repro.campaign.plans import CampaignPlan, chunked, get_spec, run_campaign
 from repro.campaign.store import CampaignStore, config_fingerprint
 from repro.campaign.telemetry import ShardStats, Telemetry
 
@@ -63,5 +66,6 @@ __all__ = [
     "get_spec",
     "golden_key",
     "register_runner",
+    "run_campaign",
     "shard_of",
 ]

@@ -33,9 +33,8 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.campaign.engine import EngineConfig, execute
-from repro.campaign.goldens import GOLDEN_CACHE
-from repro.campaign.plans import KINDS, get_spec
+from repro.campaign.engine import EngineConfig
+from repro.campaign.plans import KINDS, get_spec, run_campaign
 from repro.campaign.store import CampaignStore
 from repro.campaign.telemetry import Telemetry
 from repro.common.exceptions import ConfigError, ReproError
@@ -49,8 +48,6 @@ from repro.resilience.watchdog import CampaignInterrupted
 EXIT_HOLES = 3
 #: ``verify`` / ``repair`` exit code when problems were found
 EXIT_VERIFY = 4
-
-GOLDENS_DIRNAME = "goldens"
 
 
 def _engine_options(args, max_units=None) -> EngineConfig:
@@ -94,28 +91,21 @@ def _config_overrides(args) -> dict:
     return over
 
 
-def _execute_plan(spec, plan, store: CampaignStore, options: EngineConfig,
-                  quiet: bool = False) -> dict:
-    progress = None if quiet else (lambda line: log.info(line))
-    telemetry = Telemetry(progress=progress)
-    telemetry.note_warm(*plan.warm_stats)
-    if not store.manifest_path.exists():
-        store.write_manifest(plan.kind, plan.config, len(plan.units), extra={
-            "golden_warm": {"hits": plan.warm_stats[0],
-                            "misses": plan.warm_stats[1]}})
-    else:
-        store.check_fingerprint(plan.kind, plan.config)
-    executed = execute(plan.units, options, context=plan.context,
-                       store=store, telemetry=telemetry)
-    obs.flush(store.directory)
+def _run(spec, config: dict, store: CampaignStore, options: EngineConfig,
+         quiet: bool = False):
+    """Drive one campaign through :func:`run_campaign`; unless *quiet*,
+    print the progress line, the store status and, once the campaign is
+    complete, its summary. Returns ``(status, aggregate)``."""
+    telemetry = Telemetry(progress=None if quiet else log.info)
+    result = run_campaign(spec, config, options, store=store,
+                          telemetry=telemetry)
     status = store.status()
     if not quiet:
         print(telemetry.progress_line())
         print(json.dumps(status, indent=2))
         if status["complete"]:
-            result = spec.aggregate(plan.config, store.load_results())
             print(json.dumps(spec.summarize(result), indent=2))
-    return status
+    return status, result
 
 
 def cmd_run(args) -> int:
@@ -124,12 +114,9 @@ def cmd_run(args) -> int:
     spec = get_spec(args.kind)
     config = spec.default_config(**_config_overrides(args))
     store = CampaignStore(args.dir, durable=getattr(args, "durable", False))
-    GOLDEN_CACHE.persist_to(store.directory / GOLDENS_DIRNAME)
-    plan = spec.build(config)
-    print(f"campaign {args.kind}: {len(plan.units)} work units "
-          f"-> {store.directory}")
-    status = _execute_plan(spec, plan, store,
-                           _engine_options(args, max_units=args.interrupt_after))
+    print(f"campaign {args.kind} -> {store.directory}")
+    status, _ = _run(spec, config, store,
+                     _engine_options(args, max_units=args.interrupt_after))
     return EXIT_HOLES if status["complete_with_holes"] else 0
 
 
@@ -141,13 +128,11 @@ def cmd_resume(args) -> int:
     if getattr(args, "retry_quarantined", False):
         requeued = store.clear_quarantine()
         print(f"re-queued {requeued} quarantined unit(s)")
-    GOLDEN_CACHE.persist_to(store.directory / GOLDENS_DIRNAME)
     spec = get_spec(manifest["kind"])
-    plan = spec.build(manifest["config"])
     pending = manifest["total_units"] - len(store.completed_ids())
     print(f"resuming {manifest['kind']} campaign in {store.directory}: "
           f"{pending} of {manifest['total_units']} units pending")
-    status = _execute_plan(spec, plan, store, _engine_options(args))
+    status, _ = _run(spec, manifest["config"], store, _engine_options(args))
     return EXIT_HOLES if status["complete_with_holes"] else 0
 
 
@@ -217,32 +202,29 @@ def cmd_smoke(args) -> int:
     base = Path(args.dir) if args.dir else Path(
         tempfile.mkdtemp(prefix="campaign-smoke-"))
     failures: list[str] = []
+    # the config has 2 apps x 3 models x 4 chunks = 24 units
+    cut = 8
     try:
         store = CampaignStore(base / "interrupted")
-        plan = spec.build(config)
-        total = len(plan.units)
-        cut = max(1, total // 3)
-        print(f"smoke: {total} units; interrupting after {cut}")
+        print(f"smoke: interrupting after {cut} units")
 
         # phase 1: serial run, simulated interrupt after `cut` units
-        status = _execute_plan(spec, plan, store,
-                               EngineConfig(processes=1, max_units=cut),
-                               quiet=True)
+        status, _ = _run(spec, config, store,
+                         EngineConfig(processes=1, max_units=cut),
+                         quiet=True)
         if status["complete"] or status["completed_units"] != cut:
             failures.append(
                 f"interrupted run should stop at {cut} units, "
                 f"got {status['completed_units']}")
 
         # phase 2: resume on a pool; engine skips the completed units
-        status = _execute_plan(spec, plan, store,
+        status, resumed = _run(spec, config, store,
                                EngineConfig(processes=2), quiet=True)
         if not status["complete"]:
             failures.append(f"resume left campaign incomplete: {status}")
-        resumed = spec.aggregate(plan.config, store.load_results())
 
         # reference: uninterrupted in-memory run on a pool
-        fresh_results = execute(plan.units, EngineConfig(processes=2))
-        fresh = spec.aggregate(plan.config, fresh_results)
+        fresh = run_campaign(spec, config, EngineConfig(processes=2))
 
         for app in config["apps"]:
             for model in resumed.config.models:
@@ -294,18 +276,17 @@ def cmd_chaos_smoke(args) -> int:
                 if args.faults is None else args.faults)
     try:
         store = CampaignStore(base / "chaotic")
-        plan = spec.build(config)
-        print(f"chaos-smoke: {len(plan.units)} units under "
-              f"REPRO_CHAOS='{spec_str}' (seed {args.chaos_seed})")
+        print(f"chaos-smoke: REPRO_CHAOS='{spec_str}' "
+              f"(seed {args.chaos_seed})")
 
         # phase 1: run with chaos active — short unit timeout so injected
         # hangs cost seconds, not the default 10-minute budget
         state = chaos.configure(spec_str, seed=args.chaos_seed)
         try:
-            _execute_plan(spec, plan, store,
-                          EngineConfig(processes=2, timeout=8.0, retries=2,
-                                       watchdog_grace=1.0),
-                          quiet=True)
+            _run(spec, config, store,
+                 EngineConfig(processes=2, timeout=8.0, retries=2,
+                              watchdog_grace=1.0),
+                 quiet=True)
         finally:
             chaos.deactivate()
         fired = dict(state.fired)
@@ -327,23 +308,21 @@ def cmd_chaos_smoke(args) -> int:
                 failures.append(f"repair left problems:\n{after.render()}")
 
         # phase 3: clean resume fills every hole left by the faults
-        status = _execute_plan(spec, plan, store,
-                               EngineConfig(processes=2), quiet=True)
+        status, survived = _run(spec, config, store,
+                                EngineConfig(processes=2), quiet=True)
         if not (status["complete"] or status["complete_with_holes"]):
             failures.append(f"resume did not converge: {status}")
         if status["quarantined_units"]:
             print(f"chaos-smoke: {status['quarantined_units']} unit(s) "
                   "quarantined; re-queueing for the equivalence check")
             store.clear_quarantine()
-            status = _execute_plan(spec, plan, store,
-                                   EngineConfig(processes=2), quiet=True)
+            status, survived = _run(spec, config, store,
+                                    EngineConfig(processes=2), quiet=True)
         if not status["complete"]:
             failures.append(f"campaign did not complete: {status}")
 
         # phase 4: equivalence against a fault-free reference
-        survived = spec.aggregate(plan.config, store.load_results())
-        fresh = spec.aggregate(plan.config,
-                               execute(plan.units, EngineConfig(processes=2)))
+        fresh = run_campaign(spec, config, EngineConfig(processes=2))
         for app in config["apps"]:
             for model in survived.config.models:
                 a = survived.counts(app, model)

@@ -340,14 +340,18 @@ def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
 
 
 def _run_wave_serial(units: Sequence[WorkUnit],
+                     settle: Callable[[UnitResult], None],
                      guard: SignalGuard | None = None,
-                     attempt: int = 0) -> tuple[list[UnitResult], bool]:
-    results: list[UnitResult] = []
+                     attempt: int = 0) -> bool:
+    """One attempt over *units* in this process. Each result is settled
+    as soon as its unit finishes, so a signal between two units finds
+    every finished one committed. Returns whether the signal left units
+    unrun; one that lands during the last unit interrupts nothing."""
     for u in units:
         if guard is not None and guard.requested:
-            return results, True
-        results.append(_execute_unit(u, attempt))
-    return results, guard is not None and guard.requested
+            return True
+        settle(_execute_unit(u, attempt))
+    return False
 
 
 def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
@@ -429,17 +433,18 @@ def execute(units: Iterable[WorkUnit],
             context: dict | None = None,
             store=None,
             telemetry=None,
-            completed: Iterable[str] = (),
             on_result: Callable[[UnitResult], None] | None = None,
             ) -> dict[str, UnitResult]:
-    """Run *units*, skipping ids in *completed* (and in *store*).
+    """Run *units*, skipping the ones *store* has completed or quarantined.
 
     Returns the results produced by **this** call, keyed by unit id; a
     resuming caller merges them with ``store.load_results()``. Completed
-    units are appended to *store* (if given) as they finish, so an
-    interrupted campaign loses at most the in-flight units. Parent
-    SIGINT/SIGTERM raises :class:`CampaignInterrupted` *after* the
-    already-finished units were committed (``.results`` carries them).
+    units are appended to *store* (if given) as they finish when serial,
+    wave by wave on a pool, so an interrupted campaign loses at most the
+    units in flight. Parent SIGINT/SIGTERM raises
+    :class:`CampaignInterrupted` *after* the already-finished units were
+    committed (``.results`` carries them), and only when units were left
+    unrun.
     """
     from repro.campaign.telemetry import Telemetry
 
@@ -450,10 +455,9 @@ def execute(units: Iterable[WorkUnit],
     if telemetry is None:
         telemetry = Telemetry()
 
-    skip = set(completed)
+    skip: set[str] = set()
     if store is not None:
-        skip |= store.completed_ids()
-        skip |= store.quarantined_ids()
+        skip = store.completed_ids() | store.quarantined_ids()
     pending = [u for u in units if u.unit_id not in skip]
     if options.max_units is not None:
         pending = pending[:options.max_units]
@@ -482,6 +486,36 @@ def execute(units: Iterable[WorkUnit],
         if on_result is not None:
             on_result(result)
 
+    by_id: dict[str, WorkUnit] = {}
+    retry: list[WorkUnit] = []
+
+    def settle(r: UnitResult) -> None:
+        """Commit one result of wave *attempt*, or queue its unit for the
+        next wave, or quarantine it."""
+        r.retries = attempt
+        if r.ok:
+            commit(r)
+            return
+        if options.fail_fast:
+            raise CampaignUnitError(r.unit_id, r.error or "unknown error")
+        if r.hard_failure:
+            hard_fails[r.unit_id] = hard_fails.get(r.unit_id, 0) + 1
+        poison = hard_fails.get(r.unit_id, 0) >= options.hard_fail_limit
+        if attempt < options.retries and not poison:
+            _UNIT_RETRIES.inc(kind=r.kind)
+            obs.event("unit.retry", unit=r.unit_id, attempt=attempt)
+            obs.BUS.emit("unit.retry", r)
+            retry.append(by_id[r.unit_id])
+            return
+        if store is not None and options.quarantine:
+            reason = (
+                f"poison unit: {hard_fails.get(r.unit_id, 0)} "
+                f"hard failures (worker lost)" if poison else
+                f"retries exhausted after {attempt + 1} attempts")
+            commit(r, quarantine_reason=reason)
+        else:
+            commit(r)
+
     # Telemetry consumes the engine's event stream rather than being
     # called directly; subscriptions are scoped to this execute() call.
     subscriptions = obs.BUS.subscribed(
@@ -500,7 +534,10 @@ def execute(units: Iterable[WorkUnit],
             while pending and not interrupted:
                 if attempt > 0:
                     time.sleep(options.backoff * (2 ** (attempt - 1)))
+                by_id = {u.unit_id: u for u in pending}
+                retry = []
                 pooled = processes > 1 and len(pending) > 1
+                results = []
                 with obs.span("engine.wave", attempt=attempt,
                               pending=len(pending),
                               mode="pool" if pooled else "serial"):
@@ -514,44 +551,15 @@ def execute(units: Iterable[WorkUnit],
                             telemetry.note_degraded(
                                 f"pool unavailable ({exc}); "
                                 "running serially")
-                            results, interrupted = _run_wave_serial(
-                                pending, guard, attempt)
-                    else:
-                        results, interrupted = _run_wave_serial(
-                            pending, guard, attempt)
-
-                by_id = {u.unit_id: u for u in pending}
-                pending = []
+                            pooled = False
+                    if not pooled:
+                        interrupted = _run_wave_serial(pending, settle,
+                                                       guard, attempt)
                 for r in results:
-                    r.retries = attempt
-                    if r.ok:
-                        commit(r)
-                        continue
-                    if options.fail_fast:
-                        raise CampaignUnitError(r.unit_id,
-                                                r.error or "unknown error")
-                    if r.hard_failure:
-                        hard_fails[r.unit_id] = \
-                            hard_fails.get(r.unit_id, 0) + 1
-                    poison = (hard_fails.get(r.unit_id, 0)
-                              >= options.hard_fail_limit)
-                    if attempt < options.retries and not poison:
-                        _UNIT_RETRIES.inc(kind=r.kind)
-                        obs.event("unit.retry", unit=r.unit_id,
-                                  attempt=attempt)
-                        obs.BUS.emit("unit.retry", r)
-                        pending.append(by_id[r.unit_id])
-                        continue
-                    if store is not None and options.quarantine:
-                        reason = (
-                            f"poison unit: {hard_fails.get(r.unit_id, 0)} "
-                            f"hard failures (worker lost)" if poison else
-                            f"retries exhausted after {attempt + 1} attempts")
-                        commit(r, quarantine_reason=reason)
-                    else:
-                        commit(r)
+                    settle(r)
+                pending = retry
                 attempt += 1
-            if interrupted or (guard is not None and guard.requested):
+            if interrupted:
                 signum = (guard.signum if guard is not None
                           and guard.signum else _signal.SIGINT)
                 exc = CampaignInterrupted(signum, committed=len(done))

@@ -3,18 +3,17 @@
 Fault batches execute as work units on the unified campaign engine
 (:mod:`repro.campaign`): the netlist stimuli and golden traces are shared
 with forked workers through the engine context (copy-on-write, never
-pickled per unit), batches retry on transient failure, and both the
-legacy single-file checkpoint format and the engine's store/manifest
-layout survive interruption.
+pickled per unit), batches retry on transient failure, and the engine's
+store/manifest layout survives interruption.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
-import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -24,12 +23,12 @@ from repro.campaign.engine import (
     UnitResult,
     WorkUnit,
     default_processes,
-    execute,
     get_context,
     register_runner,
     shard_of,
 )
-from repro.campaign.plans import CampaignPlan
+from repro.campaign.plans import CampaignPlan, run_campaign
+from repro.common.exceptions import ConfigError
 from repro.common.rng import DEFAULT_SEED
 from repro.errormodels.classify import classify_output_diff
 from repro.errormodels.models import ErrorModel
@@ -435,13 +434,14 @@ def _run_gate_unit(payload: dict) -> dict:
     return {
         "items": len(records),
         "batch": payload["batch"],
+        "stimuli": len(ctx["stimuli"]),
         "records": [record_to_json(r) for r in records],
         "accel": stats,
     }
 
 
 def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus],
-                     plan_config: dict | None = None) -> CampaignPlan:
+                     plan_config: dict) -> CampaignPlan:
     """Materialize batches + shared context for one unit's campaign."""
     unit = build_unit(config.unit)
     faults = full_fault_list(unit.netlist)
@@ -464,24 +464,14 @@ def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus],
                                 for f in faults[start:start + cap]]}))
     context = {"unit": config.unit, "stimuli": stimuli, "golden": golden,
                "words": config.words, "accel": config.accel}
-    cfg_dict = plan_config if plan_config is not None else {
-        "unit": config.unit, "max_faults": config.max_faults,
-        "max_stimuli": config.max_stimuli, "words": config.words,
-        "seed": config.seed, "collapse": config.collapse,
-        "accel": config.accel,
-    }
-    return CampaignPlan(kind="gate", config=cfg_dict, units=tuple(units),
+    return CampaignPlan(kind="gate", config=plan_config, units=tuple(units),
                         context=context)
 
 
-def _aggregate_gate(unit_name: str, num_stimuli: int,
-                    results: dict[str, UnitResult]) -> GateCampaignResult:
-    records: list[FaultRecord] = []
-    for uid in sorted(r for r, res in results.items() if res.ok):
-        value = results[uid].value or {}
-        records.extend(record_from_json(d) for d in value.get("records", ()))
-    return GateCampaignResult(unit=unit_name, num_stimuli=num_stimuli,
-                              records=records)
+def _stimuli_digest(stimuli: list[Stimulus]) -> str:
+    """Identity of a caller-supplied stimulus list for the manifest."""
+    blob = json.dumps([astuple(stim) for stim in stimuli])
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------
@@ -489,53 +479,31 @@ def _aggregate_gate(unit_name: str, num_stimuli: int,
 # ---------------------------------------------------------------------
 
 def run_gate_campaign(config: CampaignConfig,
-                      stimuli: list[Stimulus],
-                      checkpoint_path: str | None = None, *,
+                      stimuli: list[Stimulus], *,
                       store=None, telemetry=None,
                       max_units: int | None = None) -> GateCampaignResult:
     """Run the gate-level campaign for one unit over *stimuli*.
 
-    With ``checkpoint_path``, completed fault batches are appended to a
-    JSONL file and skipped on restart — paper-scale campaigns survive
-    interruption and can be resumed (or sharded across machines and the
-    files concatenated). *store* offers the same durability in the
-    engine's manifest + ``results.jsonl`` layout used by
-    ``python -m repro.campaign``.
+    With *store* (a :class:`repro.campaign.CampaignStore`) completed fault
+    batches are recorded and skipped on restart, so paper-scale campaigns
+    survive interruption. The manifest config carries a digest of
+    *stimuli*: re-running into the same store with another stimulus list
+    (or another config) raises :class:`~repro.common.exceptions.ConfigError`
+    instead of mixing results (:func:`repro.campaign.run_campaign`).
     """
-    plan = _build_gate_plan(config, stimuli)
-    num_stimuli = len(plan.context["stimuli"])
-
-    completed: dict[str, UnitResult] = {}
-    if checkpoint_path:
-        for batch_index, records in _load_checkpoint(checkpoint_path).items():
-            uid = f"gate/{config.unit}/{batch_index:05d}"
-            completed[uid] = UnitResult(
-                unit_id=uid, kind="gate", shard=shard_of(uid, config.seed),
-                ok=True,
-                value={"items": len(records), "batch": batch_index,
-                       "records": [record_to_json(r) for r in records]})
-
-    def on_result(result: UnitResult) -> None:
-        if checkpoint_path and result.ok:
-            _append_checkpoint(checkpoint_path, result.value["batch"],
-                               [record_from_json(d)
-                                for d in result.value["records"]])
-
-    if store is not None and not store.manifest_path.exists():
-        store.write_manifest(plan.kind, plan.config, len(plan.units))
-
+    plan_config = {
+        "unit": config.unit, "max_faults": config.max_faults,
+        "max_stimuli": config.max_stimuli, "words": config.words,
+        "seed": config.seed, "collapse": config.collapse,
+        "accel": config.accel, "stimuli_digest": _stimuli_digest(stimuli),
+    }
     options = EngineConfig(processes=config.processes,
                            fail_fast=config.fail_fast, max_units=max_units,
                            timeout=config.timeout, retries=config.retries)
-    executed = execute(plan.units, options, context=plan.context,
-                       store=store, telemetry=telemetry,
-                       completed=completed, on_result=on_result)
-    results = dict(completed)
-    if store is not None:
-        obs.flush(store.directory)
-        results.update(store.load_results())
-    results.update(executed)
-    return _aggregate_gate(config.unit, num_stimuli, results)
+    return run_campaign(
+        CAMPAIGN_SPEC, plan_config, options, store=store,
+        telemetry=telemetry,
+        build=lambda cfg: _build_gate_plan(config, stimuli, cfg))
 
 
 class GateCampaignSpec:
@@ -567,6 +535,10 @@ class GateCampaignSpec:
         from repro.profiling.profiler import PROFILING_NAMES
         from repro.workloads import get_workload
 
+        if "stimuli_digest" in config:
+            raise ConfigError(
+                "this gate campaign ran on caller-supplied stimuli; resume "
+                "it by calling run_gate_campaign with the same stimuli")
         names = (PROFILING_NAMES[:6] if config["scale"] == "tiny"
                  else PROFILING_NAMES)
         wls = [get_workload(n, scale=config["scale"]) for n in names]
@@ -582,8 +554,16 @@ class GateCampaignSpec:
 
     def aggregate(self, config: dict,
                   results: dict[str, UnitResult]) -> GateCampaignResult:
-        num_stimuli = min(config["max_stimuli"] or 0, 10 ** 9)
-        return _aggregate_gate(config["unit"], num_stimuli, results)
+        """Records in unit-id order; the stimulus count comes from the
+        results (0 when none completed)."""
+        values = [results[uid].value for uid in sorted(results)
+                  if results[uid].ok]
+        return GateCampaignResult(
+            unit=config["unit"],
+            num_stimuli=next((v["stimuli"] for v in values
+                              if "stimuli" in v), 0),
+            records=[record_from_json(d) for v in values
+                     for d in v.get("records", ())])
 
     def summarize(self, result: GateCampaignResult) -> dict:
         return {
@@ -593,29 +573,13 @@ class GateCampaignSpec:
                                  for k, v in result.category_rates().items()},
             "multi_model_fault_fraction": round(
                 result.multi_model_fault_fraction(), 3),
+            "stimuli": result.num_stimuli,
+            # Fig. 9 rows: % of the unit's faults mapped to each model
+            "fapr_%": {m.value: round(v, 2)
+                       for m, v in sorted(result.fapr().items(),
+                                          key=lambda kv: kv[0].value)},
         }
 
 
 CAMPAIGN_SPEC = GateCampaignSpec()
 
-
-def _append_checkpoint(path: str, batch_index: int,
-                       records: list[FaultRecord]) -> None:
-    payload = {"batch": batch_index,
-               "records": [record_to_json(r) for r in records]}
-    with open(path, "a") as fh:
-        fh.write(json.dumps(payload) + "\n")
-
-
-def _load_checkpoint(path: str) -> dict[int, list[FaultRecord]]:
-    if not os.path.exists(path):
-        return {}
-    out: dict[int, list[FaultRecord]] = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            payload = json.loads(line)
-            out[payload["batch"]] = [record_from_json(r)
-                                     for r in payload["records"]]
-    return out

@@ -7,6 +7,7 @@ bus (consumed by :mod:`repro.errormodels.classify` to map output
 corruptions onto the 13 instruction-level error models).
 """
 
+from repro.common.exceptions import ConfigError
 from repro.gatelevel.units.base import Stimulus, UnitModel
 from repro.gatelevel.units.decoder import build_decoder_unit
 from repro.gatelevel.units.fetch import build_fetch_unit
@@ -29,5 +30,5 @@ def build_unit(name: str) -> UnitModel:
         "decoder": build_decoder_unit,
     }
     if name not in table:
-        raise KeyError(f"unknown unit {name!r}; known: {sorted(table)}")
+        raise ConfigError(f"unknown unit {name!r}; known: {sorted(table)}")
     return table[name]()

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.campaign.plans import GOLDENS_DIRNAME
 from repro.campaign.store import (
     MANIFEST_BACKUP_NAME,
     MANIFEST_NAME,
@@ -39,7 +40,6 @@ from repro.campaign.store import (
 from repro.obs.sinks import METRICS_NAME
 from repro.resilience import integrity
 
-GOLDENS_DIR = "goldens"
 REJECTED_SUFFIX = ".rejected.jsonl"
 
 _REQUIRED_MANIFEST_KEYS = ("kind", "config", "fingerprint", "total_units")
@@ -170,7 +170,7 @@ def _check_jsonl(report: Report, directory: Path, name: str,
 
 def _check_goldens(report: Report, directory: Path) -> list[Path]:
     """Digest-check spilled golden entries; returns the corrupt paths."""
-    goldens = directory / GOLDENS_DIR
+    goldens = directory / GOLDENS_DIRNAME
     corrupt: list[Path] = []
     if not goldens.is_dir():
         return corrupt
@@ -187,10 +187,10 @@ def _check_goldens(report: Report, directory: Path) -> list[Path]:
             n_ok += 1
         except Exception as exc:
             corrupt.append(path)
-            report.add("warning", f"{GOLDENS_DIR}/{path.name}",
+            report.add("warning", f"{GOLDENS_DIRNAME}/{path.name}",
                        f"corrupt golden cache entry ({exc}); it will be "
                        "recomputed on demand")
-    report.records[GOLDENS_DIR] = n_ok
+    report.records[GOLDENS_DIRNAME] = n_ok
     return corrupt
 
 
@@ -297,6 +297,6 @@ def repair_campaign(directory: str | Path) -> Report:
     for path in _check_goldens(report, directory):
         path.unlink(missing_ok=True)
         report.repaired.append(
-            f"{GOLDENS_DIR}/{path.name}: corrupt entry deleted "
+            f"{GOLDENS_DIRNAME}/{path.name}: corrupt entry deleted "
             "(recomputed on demand)")
     return report

@@ -26,7 +26,6 @@ from repro.campaign.engine import (
     UnitResult,
     WorkUnit,
     default_processes,
-    execute,
     register_runner,
     shard_of,
 )
@@ -36,14 +35,14 @@ from repro.campaign.goldens import (
     GOLDEN_CACHE,
     cached_workload,
 )
-from repro.campaign.plans import CampaignPlan, chunked
-from repro.common.exceptions import DeviceError
+from repro.campaign.plans import CampaignPlan, chunked, run_campaign
+from repro.common.exceptions import ConfigError, DeviceError
 from repro.common.rng import DEFAULT_SEED
 from repro.errormodels.models import ErrorModel, SW_INJECTABLE
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.device import Device
 from repro.swinjector.instrumentation import NVBitPERfi, make_descriptor
-from repro.workloads.registry import EVALUATION_APPS
+from repro.workloads.registry import EVALUATION_APPS, workload_names
 
 OUTCOMES = ("masked", "sdc", "due")
 
@@ -139,9 +138,6 @@ class EprResult:
             return 0.0
         return 100.0 * sum(o.outcome != "masked" for o in self.outcomes) / n
 
-
-#: kept under its historical name; the cache itself moved to repro.campaign
-_cached_workload = cached_workload
 
 #: per-process StaticPruner cache keyed by (app, scale, seed); building
 #: one costs a CFG + liveness solve per kernel, amortized over the whole
@@ -323,6 +319,13 @@ def _run_epr_unit(payload: dict) -> dict:
     }
 
 
+def _reject_unknown(what: str, names, known) -> None:
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what}(s) {unknown}; known: "
+                          f"{sorted(known)}")
+
+
 class EprCampaignSpec:
     """Campaign-kind adapter for ``python -m repro.campaign`` (kind: epr)."""
 
@@ -372,6 +375,9 @@ class EprCampaignSpec:
                     yield uid, app, model, list(indices)
 
     def build(self, config: dict) -> CampaignPlan:
+        _reject_unknown("app", config["apps"], workload_names())
+        _reject_unknown("model", config["models"],
+                        [m.value for m in SW_INJECTABLE])
         h0, m0 = GOLDEN_CACHE.stats()
         GOLDEN_CACHE.warm((app, config["scale"], config["seed"],
                            config["mem_words"]) for app in config["apps"])
@@ -429,6 +435,11 @@ class EprCampaignSpec:
             "overall_epr_%": round(result.overall_epr(), 2),
             "outcome_counts": dict(Counter(o.outcome
                                            for o in result.outcomes)),
+            # Fig. 11 rows: Masked/SDC/DUE averaged over the apps
+            "average_epr_%": {
+                m.value: {k: round(v, 2)
+                          for k, v in result.average_epr(m).items()}
+                for m in result.config.models},
         }
 
 
@@ -443,31 +454,15 @@ def run_epr_campaign(config: SwCampaignConfig | None = None, *,
 
     With *store* (a :class:`repro.campaign.CampaignStore`) the campaign is
     resumable: completed work units are skipped and their recorded results
-    merged into the aggregate. *max_units* bounds how many pending units
-    this call executes (simulated interruption / incremental runs).
+    merged into the aggregate, and a store written for another config
+    raises :class:`~repro.common.exceptions.ConfigError`
+    (:func:`repro.campaign.run_campaign`). *max_units* bounds how many
+    pending units this call executes (simulated interruption / incremental
+    runs).
     """
     config = config or SwCampaignConfig()
-    spec = CAMPAIGN_SPEC
-    plan_config = spec.config_of(config, chunk=chunk)
-    if store is not None:
-        # spill golden runs next to the results so a resume (in a fresh
-        # process) reuses them instead of recomputing every reference
-        GOLDEN_CACHE.persist_to(store.directory / "goldens")
-        if config.accel:
-            CHECKPOINT_CACHE.persist_to(store.directory / "checkpoints")
-    plan = spec.build(plan_config)
-    if telemetry is not None:
-        telemetry.note_warm(*plan.warm_stats)
-    if store is not None and not store.manifest_path.exists():
-        store.write_manifest(plan.kind, plan.config, len(plan.units),
-                             extra={"golden_warm": {
-                                 "hits": plan.warm_stats[0],
-                                 "misses": plan.warm_stats[1]}})
     options = EngineConfig(processes=config.processes,
                            fail_fast=config.fail_fast, max_units=max_units,
                            timeout=config.timeout, retries=config.retries)
-    results = execute(plan.units, options, store=store, telemetry=telemetry)
-    if store is not None:
-        obs.flush(store.directory)
-        results = {**store.load_results(), **results}
-    return spec.aggregate(plan_config, results)
+    return run_campaign(CAMPAIGN_SPEC, CAMPAIGN_SPEC.config_of(config, chunk),
+                        options, store=store, telemetry=telemetry)

@@ -263,16 +263,16 @@ class TestCliPlumbing:
             assert r.value["accel"]["enabled"] is True
 
     def test_swinjector_cli_flag_parses(self):
-        # flag must exist and default off
-        import argparse
+        # the EPR (software-injector) run takes --no-accel, default off
+        from repro.campaign.__main__ import _config_overrides, build_parser
 
-        from repro.swinjector.__main__ import main  # noqa: F401 (import ok)
-
-        # parse via a fresh parser mirror: exercise argparse wiring only
-        parser = argparse.ArgumentParser()
-        parser.add_argument("--no-accel", action="store_true")
-        assert parser.parse_args([]).no_accel is False
-        assert parser.parse_args(["--no-accel"]).no_accel is True
+        parser = build_parser()
+        args = parser.parse_args(["run", "--kind", "epr"])
+        assert args.no_accel is False
+        assert "accel" not in _config_overrides(args)
+        args = parser.parse_args(["run", "--kind", "epr", "--no-accel"])
+        assert args.no_accel is True
+        assert _config_overrides(args)["accel"] is False
 
     def test_descriptor_behavior_key_covers_all_models(self):
         from repro.errormodels.models import SW_INJECTABLE

@@ -12,7 +12,9 @@ Covers the three engine guarantees the campaigns rely on:
 
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -33,7 +35,10 @@ from repro.campaign.engine import DEFAULT_SHARDS, register_runner
 from repro.campaign.goldens import GOLDEN_CACHE, golden_key
 from repro.common.exceptions import ConfigError
 from repro.errormodels.models import ErrorModel
+from repro.faultinjection import CampaignConfig, run_gate_campaign
+from repro.profiling import stimuli_from_program
 from repro.swinjector import SwCampaignConfig, run_epr_campaign
+from repro.workloads import get_workload
 
 
 # ---------------------------------------------------------------------
@@ -61,6 +66,15 @@ def _flaky(payload: dict) -> dict:
     raise RuntimeError("transient failure, try again")
 
 
+def _gate_setup(**overrides) -> tuple[CampaignConfig, list]:
+    """A small serial decoder campaign over vectoradd's stimuli."""
+    stimuli = stimuli_from_program(
+        get_workload("vectoradd", scale="tiny").program())
+    cfg = CampaignConfig(**{"unit": "decoder", "max_stimuli": 8,
+                            "processes": 1, **overrides})
+    return cfg, stimuli
+
+
 def _units(kind: str, n: int, **extra) -> list[WorkUnit]:
     return [WorkUnit(unit_id=f"{kind}/{i:03d}", kind=kind,
                      payload={"x": i, **extra}, shard=shard_of(f"{kind}/{i}"))
@@ -80,10 +94,11 @@ class TestEngineCore:
         assert {k: r.value["value"] for k, r in a.items()} == \
             {k: r.value["value"] for k, r in b.items()}
 
-    def test_completed_units_are_skipped(self):
-        done = {"test-echo/000", "test-echo/001"}
-        results = execute(_units("test-echo", 4), EngineConfig(processes=1),
-                          completed=done)
+    def test_completed_units_are_skipped(self, tmp_path):
+        store = CampaignStore(tmp_path / "c")
+        units = _units("test-echo", 4)
+        execute(units[:2], EngineConfig(processes=1), store=store)
+        results = execute(units, EngineConfig(processes=1), store=store)
         assert set(results) == {"test-echo/002", "test-echo/003"}
 
     def test_max_units_bounds_the_run(self):
@@ -165,6 +180,28 @@ class TestStore:
             store.check_fingerprint("epr", {"seed": 2})
         assert config_fingerprint("epr", {"seed": 1}) != \
             config_fingerprint("epr", {"seed": 2})
+
+        # the library entry points share the guard: a store created for
+        # one config refuses another before anything runs
+        epr = SwCampaignConfig(apps=("vectoradd",), models=(ErrorModel.WV,),
+                               injections_per_model=2, scale="tiny",
+                               processes=1, seed=1)
+        store = CampaignStore(tmp_path / "epr")
+        run_epr_campaign(epr, store=store)
+        before = store.results_path.read_text()
+        with pytest.raises(ConfigError):
+            run_epr_campaign(replace(epr, seed=2), store=store)
+        assert store.results_path.read_text() == before
+
+        gate, stimuli = _gate_setup(max_faults=64)
+        store = CampaignStore(tmp_path / "gate")
+        run_gate_campaign(gate, stimuli, store=store)
+        with pytest.raises(ConfigError):
+            run_gate_campaign(replace(gate, max_faults=32), stimuli,
+                              store=store)
+        # a different stimulus list is a different campaign, too
+        with pytest.raises(ConfigError):
+            run_gate_campaign(gate, stimuli[:-1], store=store)
 
     def test_status_requires_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -261,18 +298,13 @@ class TestEprResume:
         for m in cfg.models:
             assert resumed.counts("vectoradd", m) == \
                 fresh.counts("vectoradd", m)
+        # the gate case is tests/test_results_io.py::TestCheckpointing::
+        # test_partial_checkpoint_resumes_missing_batches
 
 
 class TestGateOnEngine:
     def test_store_resume_matches_plain_run(self, tmp_path):
-        from repro.faultinjection import CampaignConfig, run_gate_campaign
-        from repro.profiling import stimuli_from_program
-        from repro.workloads import get_workload
-
-        w = get_workload("vectoradd", scale="tiny")
-        stimuli = stimuli_from_program(w.program())
-        cfg = CampaignConfig(unit="decoder", max_faults=256, max_stimuli=8,
-                             words=1, processes=1)  # several small batches
+        cfg, stimuli = _gate_setup(max_faults=256, words=1)  # several batches
         plain = run_gate_campaign(cfg, stimuli)
 
         store = CampaignStore(tmp_path / "gate")
@@ -281,6 +313,19 @@ class TestGateOnEngine:
         resumed = run_gate_campaign(cfg, stimuli, store=store)
         assert resumed.category_counts() == plain.category_counts()
         assert resumed.faults_per_error() == plain.faults_per_error()
+
+    @pytest.mark.parametrize("max_stimuli", [1000, None])
+    def test_num_stimuli_is_the_plans(self, max_stimuli):
+        from repro.campaign.plans import get_spec
+
+        spec = get_spec("gate")
+        config = dict(spec.default_config(max_faults=64),
+                      max_stimuli=max_stimuli)
+        plan = spec.build(config)
+        results = execute(plan.units, EngineConfig(processes=1),
+                          context=plan.context)
+        res = spec.aggregate(plan.config, results)
+        assert 0 < res.num_stimuli == len(plan.context["stimuli"]) < 1000
 
 
 class TestCli:
@@ -310,3 +355,63 @@ class TestCli:
 
         with pytest.raises(ConfigError):
             get_spec("nonsense")
+
+    @pytest.mark.parametrize("flags", [
+        ["--apps", "doom"],
+        ["--apps", "vectoradd", "--models", "XYZ"],
+    ])
+    def test_unknown_epr_input_rejected(self, tmp_path, capsys, flags):
+        from repro.campaign.__main__ import main
+
+        d = tmp_path / "bad"
+        assert main(["run", "--kind", "epr", "--dir", str(d)] + flags) == 2
+        assert "unknown" in capsys.readouterr().err
+        assert not (d / "manifest.json").exists()
+
+    def test_unknown_gate_unit_rejected(self, tmp_path):
+        cfg, stimuli = _gate_setup(unit="XYZ", max_faults=64)
+        store = CampaignStore(tmp_path / "bad")
+        with pytest.raises(ConfigError):
+            run_gate_campaign(cfg, stimuli, store=store)
+        assert not store.manifest_path.exists()
+
+    def test_resume_of_library_gate_store_rejected(self, tmp_path, capsys):
+        from repro.campaign.__main__ import main
+
+        # its stimuli came from the caller: the manifest cannot rebuild them
+        cfg, stimuli = _gate_setup(max_faults=64)
+        run_gate_campaign(cfg, stimuli, store=CampaignStore(tmp_path / "g"))
+        assert main(["resume", "--dir", str(tmp_path / "g")]) == 2
+        assert "caller-supplied stimuli" in capsys.readouterr().err
+
+    def test_epr_run_prints_per_model_epr(self, tmp_path, capsys):
+        from repro.campaign.__main__ import main
+
+        rc = main(["run", "--apps", "vectoradd", "--models", "WV,IIO",
+                   "--injections", "3", "--serial",
+                   "--dir", str(tmp_path / "epr")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert '"overall_epr_%"' in out
+        summary = json.loads(out[out.rindex("\n{"):])
+        assert set(summary["average_epr_%"]) == {"WV", "IIO"}
+        for row in summary["average_epr_%"].values():
+            assert set(row) == {"masked", "sdc", "due"}
+            assert sum(row.values()) == pytest.approx(100.0, abs=0.05)
+
+    def test_gate_run_prints_fapr(self, tmp_path, capsys):
+        from repro.campaign.__main__ import main
+
+        rc = main(["run", "--kind", "gate", "--unit", "decoder",
+                   "--max-faults", "128", "--max-stimuli", "8", "--serial",
+                   "--dir", str(tmp_path / "gate")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        summary = json.loads(out[out.rindex("\n{"):])
+        assert summary["stimuli"] == 8
+        assert summary["category_rates_%"]["sw_error"] > 0
+        assert summary["fapr_%"]
+        assert all(0 < v <= 100 for v in summary["fapr_%"].values())
+        rc = main(["status", "--dir", str(tmp_path / "gate")])
+        assert rc == 0
+        assert '"fapr_%"' in capsys.readouterr().out

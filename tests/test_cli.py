@@ -1,53 +1,42 @@
-"""Tests for the command-line entry points."""
+"""Tests that a campaign run from the command line saves its result.
+
+``python -m repro.campaign run --dir D`` keeps the result in the sealed
+store at ``D``; reading it back is ``spec.aggregate(config,
+store.load_results())``.
+"""
 
 from __future__ import annotations
 
-import pytest
+from repro.campaign import CampaignStore, get_spec
+from repro.campaign.__main__ import main
 
-from repro.faultinjection.__main__ import main as fi_main
-from repro.faultinjection.results import load_result
-from repro.swinjector.__main__ import main as sw_main
+
+def _load(directory):
+    store = CampaignStore(directory)
+    manifest = store.load_manifest()
+    return get_spec(manifest["kind"]).aggregate(manifest["config"],
+                                                store.load_results())
 
 
 class TestSwInjectorCli:
-    def test_runs_and_prints(self, capsys):
-        rc = sw_main(["--apps", "vectoradd", "--models", "WV", "-n", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "overall EPR" in out
-        assert "WV" in out
-
     def test_save(self, tmp_path, capsys):
-        p = tmp_path / "epr.json"
-        rc = sw_main(["--apps", "vectoradd", "--models", "IIO", "-n", "2",
-                      "--save", str(p)])
+        d = tmp_path / "epr"
+        rc = main(["run", "--kind", "epr", "--apps", "vectoradd",
+                   "--models", "IIO", "--injections", "2", "--serial",
+                   "--dir", str(d)])
         assert rc == 0
-        res = load_result(p)
+        res = _load(d)
         assert sum(res.counts("vectoradd",
                               res.config.models[0]).values()) == 2
 
-    def test_rejects_unknown_app(self):
-        with pytest.raises(SystemExit):
-            sw_main(["--apps", "doom"])
-
 
 class TestFaultInjectionCli:
-    def test_runs_and_prints(self, capsys):
-        rc = fi_main(["--unit", "decoder", "--max-faults", "128",
-                      "--max-stimuli", "8"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "FAPR" in out
-        assert "sw_error" in out
-
     def test_save(self, tmp_path, capsys):
-        p = tmp_path / "gate.json"
-        rc = fi_main(["--unit", "decoder", "--max-faults", "64",
-                      "--max-stimuli", "6", "--save", str(p)])
+        d = tmp_path / "gate"
+        rc = main(["run", "--kind", "gate", "--unit", "decoder",
+                   "--max-faults", "64", "--max-stimuli", "6", "--serial",
+                   "--dir", str(d)])
         assert rc == 0
-        res = load_result(p)
+        res = _load(d)
         assert res.unit == "decoder"
-
-    def test_requires_unit(self):
-        with pytest.raises(SystemExit):
-            fi_main([])
+        assert res.num_stimuli == 6

@@ -1,104 +1,98 @@
-"""Round-trip tests for campaign-result serialization."""
+"""Round-trip tests for campaign results through the sealed store.
+
+The store is the only result file: a campaign read back as
+``spec.aggregate(config, store.load_results())`` must equal the result
+the campaign returned in memory.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.campaign import CampaignStore, Telemetry, get_spec
 from repro.errormodels.models import ErrorModel
 from repro.faultinjection import CampaignConfig, run_gate_campaign
-from repro.faultinjection.results import load_result, save_result
 from repro.profiling import stimuli_from_program
 from repro.swinjector import SwCampaignConfig, run_epr_campaign
 from repro.workloads import get_workload
 
 
+def _read_back(store: CampaignStore):
+    manifest = store.load_manifest()
+    return get_spec(manifest["kind"]).aggregate(manifest["config"],
+                                                store.load_results())
+
+
 @pytest.fixture(scope="module")
-def gate_result():
-    w = get_workload("vectoradd", scale="tiny")
-    stimuli = stimuli_from_program(w.program())
-    return run_gate_campaign(
+def gate_stimuli():
+    return stimuli_from_program(get_workload("vectoradd", scale="tiny")
+                                .program())
+
+
+@pytest.fixture(scope="module")
+def gate_run(gate_stimuli, tmp_path_factory):
+    store = CampaignStore(tmp_path_factory.mktemp("gate"))
+    res = run_gate_campaign(
         CampaignConfig(unit="decoder", max_faults=128, max_stimuli=8),
-        stimuli)
+        gate_stimuli, store=store)
+    return res, store
 
 
 @pytest.fixture(scope="module")
-def epr_result():
+def epr_run(tmp_path_factory):
     cfg = SwCampaignConfig(apps=("vectoradd",), injections_per_model=4,
                            scale="tiny",
                            models=(ErrorModel.WV, ErrorModel.IIO))
-    return run_epr_campaign(cfg)
+    store = CampaignStore(tmp_path_factory.mktemp("epr"))
+    return run_epr_campaign(cfg, store=store), store
 
 
 class TestGateResultIO:
-    def test_roundtrip_preserves_rates(self, gate_result, tmp_path):
-        p = tmp_path / "gate.json"
-        save_result(gate_result, p)
-        back = load_result(p)
+    def test_roundtrip_preserves_rates(self, gate_run):
+        gate_result, store = gate_run
+        back = _read_back(store)
         assert back.unit == gate_result.unit
+        assert back.num_stimuli == gate_result.num_stimuli == 8
         assert back.category_counts() == gate_result.category_counts()
         assert back.fapr() == gate_result.fapr()
         assert back.times_produced() == gate_result.times_produced()
 
 
 class TestEprResultIO:
-    def test_roundtrip_preserves_epr(self, epr_result, tmp_path):
-        p = tmp_path / "epr.json"
-        save_result(epr_result, p)
-        back = load_result(p)
+    def test_roundtrip_preserves_epr(self, epr_run):
+        epr_result, store = epr_run
+        back = _read_back(store)
         for m in epr_result.config.models:
             assert back.epr("vectoradd", m) == epr_result.epr("vectoradd", m)
         assert back.overall_epr() == epr_result.overall_epr()
 
 
-class TestErrors:
-    def test_unknown_payload_rejected(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text('{"kind": "mystery"}')
-        with pytest.raises(ValueError):
-            load_result(p)
-
-    def test_wrong_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_result({"not": "a result"}, tmp_path / "y.json")
-
-
 class TestCheckpointing:
-    def test_resume_produces_identical_result(self, tmp_path):
-        from repro.faultinjection import CampaignConfig, run_gate_campaign
-        from repro.profiling import stimuli_from_program
-        from repro.workloads import get_workload
+    def test_resume_produces_identical_result(self, gate_run, gate_stimuli):
+        gate_result, store = gate_run
+        before = store.results_path.read_text()
+        telemetry = Telemetry()
+        resumed = run_gate_campaign(
+            CampaignConfig(unit="decoder", max_faults=128, max_stimuli=8),
+            gate_stimuli, store=store, telemetry=telemetry)
+        assert telemetry.totals.units == 0  # a complete store re-runs none
+        assert store.results_path.read_text() == before
+        assert resumed.category_counts() == gate_result.category_counts()
+        assert resumed.faults_per_error() == gate_result.faults_per_error()
 
-        w = get_workload("vectoradd", scale="tiny")
-        stimuli = stimuli_from_program(w.program())
+    def test_partial_checkpoint_resumes_missing_batches(self, gate_stimuli,
+                                                        tmp_path):
+        # cutting the last results.jsonl line re-runs only that batch
         cfg = CampaignConfig(unit="decoder", max_faults=256, max_stimuli=8,
-                             words=1)  # several small batches
-        plain = run_gate_campaign(cfg, stimuli)
-
-        ckpt = tmp_path / "gate.ckpt.jsonl"
-        first = run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
-        assert ckpt.exists()
-        # second run consumes the checkpoint (all batches cached)
-        resumed = run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
-        for res in (first, resumed):
-            assert res.category_counts() == plain.category_counts()
-            assert res.faults_per_error() == plain.faults_per_error()
-
-    def test_partial_checkpoint_resumes_missing_batches(self, tmp_path):
-        import json
-
-        from repro.faultinjection import CampaignConfig, run_gate_campaign
-        from repro.profiling import stimuli_from_program
-        from repro.workloads import get_workload
-
-        w = get_workload("vectoradd", scale="tiny")
-        stimuli = stimuli_from_program(w.program())
-        cfg = CampaignConfig(unit="decoder", max_faults=256, max_stimuli=8,
-                             words=1)
-        ckpt = tmp_path / "gate.ckpt.jsonl"
-        run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
-        # drop the last batch line and resume
-        lines = ckpt.read_text().splitlines()
-        ckpt.write_text("\n".join(lines[:-1]) + "\n")
-        resumed = run_gate_campaign(cfg, stimuli, checkpoint_path=str(ckpt))
-        plain = run_gate_campaign(cfg, stimuli)
+                             words=1, processes=1)  # several small batches
+        store = CampaignStore(tmp_path / "gate")
+        run_gate_campaign(cfg, gate_stimuli, store=store)
+        lines = store.results_path.read_text().splitlines()
+        store.results_path.write_text("\n".join(lines[:-1]) + "\n")
+        telemetry = Telemetry()
+        resumed = run_gate_campaign(cfg, gate_stimuli, store=store,
+                                    telemetry=telemetry)
+        assert telemetry.totals.units == 1
+        plain = run_gate_campaign(cfg, gate_stimuli)
         assert resumed.category_counts() == plain.category_counts()
+        assert resumed.faults_per_error() == plain.faults_per_error()
