@@ -73,22 +73,22 @@ bench-smoke:
 		--benchmark-json=BENCH_smoke.json
 
 report:
-	$(PY) -m repro.experiments --output experiments_report.txt
+	PYTHONPATH=src $(PY) -m repro.experiments --output experiments_report.txt
 
 report-small:
-	$(PY) -m repro.experiments --preset small --output experiments_report.txt
+	PYTHONPATH=src $(PY) -m repro.experiments --preset small --output experiments_report.txt
 
 claims:
-	$(PY) -c "from repro.analysis.compare import evaluate_claims; \
+	PYTHONPATH=src $(PY) -c "from repro.analysis.compare import evaluate_claims; \
 	s = evaluate_claims(); open('claims_report.md','w').write(s.render_markdown()); \
 	print(f'{s.passed}/{s.total} claims hold')"
 
 docs:
-	$(PY) -c "from repro.isa.manual import write_manual; write_manual()"
-	$(PY) -c "from repro.errormodels.manual import write_manual; write_manual()"
+	PYTHONPATH=src $(PY) -c "from repro.isa.manual import write_manual; write_manual()"
+	PYTHONPATH=src $(PY) -c "from repro.errormodels.manual import write_manual; write_manual()"
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PY) $$f > /dev/null || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PY) $$f > /dev/null || exit 1; done
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

@@ -7,8 +7,8 @@ Every campaign in this repository — the software-level EPR campaigns
 bag of independent *work units*. This package provides the one engine
 they all run on:
 
-* :class:`~repro.campaign.engine.WorkUnit` / deterministic sharding —
-  an injection plan is partitioned by seed, so results are bit-identical
+* :class:`~repro.campaign.engine.WorkUnit` — an injection plan is split
+  into independently seeded units, so results are bit-identical
   regardless of worker count or scheduling (:mod:`repro.campaign.engine`);
 * a process-pool executor with per-unit timeouts, bounded retries with
   exponential backoff, ``fail_fast`` exception propagation, and graceful
@@ -17,9 +17,9 @@ they all run on:
   each ``(workload, scale, seed)`` is computed once per campaign instead
   of once per injection (:mod:`repro.campaign.goldens`);
 * an append-only JSONL result store with a manifest that makes any
-  campaign resumable after interruption (:mod:`repro.campaign.store`);
-* per-shard throughput / cache / retry telemetry
-  (:mod:`repro.campaign.telemetry`);
+  campaign resumable after interruption, and whose ``status()`` is the
+  campaign's tally of units, items, retries, cache hits and accel stats
+  (:mod:`repro.campaign.store`);
 * one function, :func:`~repro.campaign.plans.run_campaign`, that every
   entry point (CLI, library, smoke tests) runs campaigns through, so
   every campaign gets the same fingerprint guard and store layout.
@@ -40,12 +40,10 @@ from repro.campaign.engine import (
     default_processes,
     execute,
     register_runner,
-    shard_of,
 )
 from repro.campaign.goldens import GOLDEN_CACHE, GoldenCache, GoldenRun, golden_key
 from repro.campaign.plans import CampaignPlan, chunked, get_spec, run_campaign
 from repro.campaign.store import CampaignStore, config_fingerprint
-from repro.campaign.telemetry import ShardStats, Telemetry
 
 __all__ = [
     "CampaignPlan",
@@ -55,8 +53,6 @@ __all__ = [
     "GOLDEN_CACHE",
     "GoldenCache",
     "GoldenRun",
-    "ShardStats",
-    "Telemetry",
     "UnitResult",
     "WorkUnit",
     "chunked",
@@ -67,5 +63,4 @@ __all__ = [
     "golden_key",
     "register_runner",
     "run_campaign",
-    "shard_of",
 ]

@@ -30,13 +30,14 @@ import json
 import shutil
 import sys
 import tempfile
+import time
+from collections import Counter
 from pathlib import Path
 
 from repro import obs
-from repro.campaign.engine import EngineConfig
+from repro.campaign.engine import EngineConfig, UnitResult
 from repro.campaign.plans import KINDS, get_spec, run_campaign
 from repro.campaign.store import CampaignStore
-from repro.campaign.telemetry import Telemetry
 from repro.common.exceptions import ConfigError, ReproError
 from repro.obs import log
 from repro.resilience import chaos
@@ -48,6 +49,8 @@ from repro.resilience.watchdog import CampaignInterrupted
 EXIT_HOLES = 3
 #: ``verify`` / ``repair`` exit code when problems were found
 EXIT_VERIFY = 4
+#: committed units between two progress lines
+PROGRESS_EVERY = 10
 
 
 def _engine_options(args, max_units=None) -> EngineConfig:
@@ -91,17 +94,34 @@ def _config_overrides(args) -> dict:
     return over
 
 
+def _progress_logger():
+    """An ``on_result`` hook logging a progress line every
+    :data:`PROGRESS_EVERY` units this call commits."""
+    tally: Counter = Counter()
+    started = time.perf_counter()
+
+    def on_result(r: UnitResult) -> None:
+        tally.update(units=1, items=r.items, pruned=r.pruned,
+                     retries=r.retries, failures=int(not r.ok))
+        if tally["units"] % PROGRESS_EVERY == 0:
+            rate = tally["items"] / (time.perf_counter() - started)
+            log.info(f"[campaign] {tally['units']} units, "
+                     f"{tally['items']} items, {tally['pruned']} pruned, "
+                     f"{rate:.1f} items/s, {tally['retries']} retries, "
+                     f"{tally['failures']} failures")
+
+    return on_result
+
+
 def _run(spec, config: dict, store: CampaignStore, options: EngineConfig,
          quiet: bool = False):
     """Drive one campaign through :func:`run_campaign`; unless *quiet*,
-    print the progress line, the store status and, once the campaign is
-    complete, its summary. Returns ``(status, aggregate)``."""
-    telemetry = Telemetry(progress=None if quiet else log.info)
+    log progress lines, then print the store status and, once the
+    campaign is complete, its summary. Returns ``(status, aggregate)``."""
     result = run_campaign(spec, config, options, store=store,
-                          telemetry=telemetry)
+                          on_result=None if quiet else _progress_logger())
     status = store.status()
     if not quiet:
-        print(telemetry.progress_line())
         print(json.dumps(status, indent=2))
         if status["complete"]:
             print(json.dumps(spec.summarize(result), indent=2))
@@ -129,9 +149,12 @@ def cmd_resume(args) -> int:
         requeued = store.clear_quarantine()
         print(f"re-queued {requeued} quarantined unit(s)")
     spec = get_spec(manifest["kind"])
-    pending = manifest["total_units"] - len(store.completed_ids())
+    # quarantined units are skipped, so they are not pending
+    before = store.status()
+    pending = (before["total_units"] - before["completed_units"]
+               - before["quarantined_units"])
     print(f"resuming {manifest['kind']} campaign in {store.directory}: "
-          f"{pending} of {manifest['total_units']} units pending")
+          f"{pending} of {before['total_units']} units pending")
     status, _ = _run(spec, manifest["config"], store, _engine_options(args))
     return EXIT_HOLES if status["complete_with_holes"] else 0
 

@@ -29,6 +29,7 @@ degradation on top:
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import os
 import signal as _signal
@@ -39,7 +40,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro import obs
 from repro.common.exceptions import ConfigError, ReproError
-from repro.common.rng import derive_seed
 from repro.resilience import chaos
 from repro.resilience.watchdog import (
     CampaignInterrupted,
@@ -47,12 +47,6 @@ from repro.resilience.watchdog import (
     SignalGuard,
     Watchdog,
 )
-
-#: number of deterministic shards a plan is partitioned into. Shards are a
-#: scheduling/telemetry granularity, not a correctness concern: the mapping
-#: unit -> shard depends only on the campaign seed and the unit id, never on
-#: the worker count.
-DEFAULT_SHARDS = 8
 
 #: hard cap on the default pool size; campaigns scale past this only when
 #: the caller (or REPRO_PROCESSES) asks explicitly.
@@ -107,8 +101,6 @@ class WorkUnit:
     kind: str
     #: runner parameters; must be picklable (JSON-serializable preferred)
     payload: dict
-    #: deterministic shard index in ``range(DEFAULT_SHARDS)``
-    shard: int = 0
 
 
 @dataclass
@@ -117,7 +109,6 @@ class UnitResult:
 
     unit_id: str
     kind: str
-    shard: int
     ok: bool
     value: dict | None = None
     error: str | None = None
@@ -173,12 +164,6 @@ class UnitResult:
     @classmethod
     def from_json(cls, data: dict) -> "UnitResult":
         return cls(**data)
-
-
-def shard_of(unit_id: str, seed: int = 0,
-             num_shards: int = DEFAULT_SHARDS) -> int:
-    """Deterministic shard for *unit_id* — stable across runs and workers."""
-    return derive_seed(seed, "shard", unit_id) % num_shards
 
 
 # ---------------------------------------------------------------------
@@ -320,8 +305,7 @@ def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
     token = obs.capture_begin() if in_worker else None
     t0 = time.perf_counter()
     try:
-        with obs.span("engine.unit", unit=unit.unit_id, kind=unit.kind,
-                      shard=unit.shard):
+        with obs.span("engine.unit", unit=unit.unit_id, kind=unit.kind):
             value = get_runner(unit.kind)(unit.payload)
         ok, error = True, None
     except Exception:
@@ -331,7 +315,7 @@ def _execute_unit(unit: WorkUnit, attempt: int = 0) -> UnitResult:
             _HEARTBEAT[0].clear(_HEARTBEAT[1])
     elapsed = time.perf_counter() - t0
     return UnitResult(
-        unit_id=unit.unit_id, kind=unit.kind, shard=unit.shard, ok=ok,
+        unit_id=unit.unit_id, kind=unit.kind, ok=ok,
         value=value, error=error, elapsed=elapsed,
         cache_hits=GOLDEN_CACHE.hits - h0,
         cache_misses=GOLDEN_CACHE.misses - m0,
@@ -354,106 +338,112 @@ def _run_wave_serial(units: Sequence[WorkUnit],
     return False
 
 
+def _await_result(handle, unit: WorkUnit, timeout: float,
+                  guard: SignalGuard | None) -> UnitResult | None:
+    """Wait up to *timeout* for one pool result. A timeout or a lost
+    worker comes back as a hard-failure result; a shutdown signal
+    returns None."""
+    deadline = time.monotonic() + timeout
+    while guard is None or not guard.requested:
+        try:
+            return handle.get(_POLL_SECONDS)
+        except mp.TimeoutError:
+            if time.monotonic() >= deadline:
+                return UnitResult(
+                    unit_id=unit.unit_id, kind=unit.kind, ok=False,
+                    error=f"{_TIMEOUT_PREFIX} {timeout:.0f}s",
+                    elapsed=timeout)
+        except Exception:
+            return UnitResult(
+                unit_id=unit.unit_id, kind=unit.kind, ok=False,
+                error=f"{_POOL_FAILURE_PREFIX}\n{traceback.format_exc()}")
+    return None
+
+
 def _run_wave_pool(units: Sequence[WorkUnit], processes: int,
                    options: EngineConfig,
+                   settle: Callable[[UnitResult], None],
                    guard: SignalGuard | None = None,
-                   attempt: int = 0) -> tuple[list[UnitResult], bool]:
+                   attempt: int = 0) -> bool:
     """One attempt over *units* on a fork pool, with per-unit timeouts.
 
-    A timed-out unit is recorded as a retryable (hard) failure; the pool
-    is terminated afterwards so a hung worker cannot leak into later
-    waves, and the watchdog reclaims stalled workers mid-wave. Returns
-    the results plus whether a shutdown signal cut the wave short.
+    Each result is settled as it comes back, in unit order, so a signal
+    or a crash of the parent loses only the units still in flight. A
+    timed-out unit is settled as a retryable (hard) failure; the pool is
+    then terminated so a hung worker cannot leak into later waves, and
+    the watchdog reclaims stalled workers mid-wave. A pool that cannot
+    be created degrades the wave to :func:`_run_wave_serial`. Only
+    creation is guarded: an error raised by *settle* (``fail_fast``, a
+    full disk) terminates the pool and propagates, so committed units
+    are never re-run. Returns whether a shutdown signal cut the wave
+    short.
     """
-    ctx = mp.get_context("fork")
-    heartbeats = (Heartbeats(processes + 32) if options.watchdog else None)
-    pool = ctx.Pool(processes, initializer=_worker_init,
-                    initargs=(heartbeats,))
+    try:
+        heartbeats = Heartbeats(processes + 32) if options.watchdog else None
+        pool = mp.get_context("fork").Pool(
+            processes, initializer=_worker_init, initargs=(heartbeats,))
+    except (OSError, ValueError) as exc:
+        # no fork / fd exhaustion / bad pool size: degrade, don't die
+        obs.log.warning(f"[campaign] pool unavailable ({exc}); "
+                    "running the wave serially")
+        return _run_wave_serial(units, settle, guard, attempt)
     watchdog = None
     if heartbeats is not None:
         watchdog = Watchdog(
             heartbeats, options.timeout, grace=options.watchdog_grace,
             kill_grace=options.watchdog_grace,
-            on_escalate=lambda pid, sig: obs.BUS.emit(
-                "engine.watchdog", {"pid": pid, "signal": sig}))
+            on_escalate=lambda pid, sig: obs.event(
+                "engine.watchdog", pid=pid, signal=sig))
         watchdog.start()
-    results: list[UnitResult] = []
     interrupted = False
-    dirty = False  # a worker was lost or the wave was cut short
+    clean = False  # every worker survived and no exception escaped
     try:
         handles = [(u, pool.apply_async(_execute_unit, (u, attempt)))
                    for u in units]
+        lost = False
         for u, h in handles:
-            deadline = time.monotonic() + options.timeout
-            while True:
-                if guard is not None and guard.requested:
-                    interrupted = True
-                    break
-                try:
-                    results.append(h.get(_POLL_SECONDS))
-                    break
-                except mp.TimeoutError:
-                    if time.monotonic() >= deadline:
-                        dirty = True
-                        results.append(UnitResult(
-                            unit_id=u.unit_id, kind=u.kind, shard=u.shard,
-                            ok=False,
-                            error=f"{_TIMEOUT_PREFIX} "
-                                  f"{options.timeout:.0f}s",
-                            elapsed=options.timeout))
-                        break
-                except Exception:
-                    dirty = True
-                    results.append(UnitResult(
-                        unit_id=u.unit_id, kind=u.kind, shard=u.shard,
-                        ok=False,
-                        error=f"{_POOL_FAILURE_PREFIX}\n"
-                              f"{traceback.format_exc()}"))
-                    break
-            if interrupted:
+            result = _await_result(h, u, options.timeout, guard)
+            if result is None:
+                interrupted = True
                 break
+            lost |= result.hard_failure
+            settle(result)
+        clean = not (lost or interrupted)
     finally:
         if watchdog is not None:
             watchdog.stop()
             if watchdog.sigterms or watchdog.sigkills:
-                dirty = True
-                obs.BUS.emit("engine.watchdog.summary",
-                             {"sigterm": watchdog.sigterms,
-                              "sigkill": watchdog.sigkills})
-        if dirty or interrupted:
-            pool.terminate()
-        else:
+                clean = False
+        if clean:
             pool.close()
+        else:
+            pool.terminate()
         pool.join()
-    return results, interrupted
+    return interrupted
 
 
 def execute(units: Iterable[WorkUnit],
             options: EngineConfig | None = None, *,
             context: dict | None = None,
             store=None,
-            telemetry=None,
             on_result: Callable[[UnitResult], None] | None = None,
             ) -> dict[str, UnitResult]:
     """Run *units*, skipping the ones *store* has completed or quarantined.
 
     Returns the results produced by **this** call, keyed by unit id; a
-    resuming caller merges them with ``store.load_results()``. Completed
-    units are appended to *store* (if given) as they finish when serial,
-    wave by wave on a pool, so an interrupted campaign loses at most the
-    units in flight. Parent SIGINT/SIGTERM raises
+    resuming caller merges them with ``store.load_results()``. Each unit
+    is settled as soon as its result is back, serial or pooled: committed
+    to *store* (if given) and handed to *on_result*, queued for the next
+    retry wave, or quarantined, so an interrupted campaign loses at most
+    the units in flight. Parent SIGINT/SIGTERM raises
     :class:`CampaignInterrupted` *after* the already-finished units were
     committed (``.results`` carries them), and only when units were left
     unrun.
     """
-    from repro.campaign.telemetry import Telemetry
-
     options = options or EngineConfig()
     processes = options.processes or default_processes()
     if context is not None:
         set_context(context)
-    if telemetry is None:
-        telemetry = Telemetry()
 
     skip: set[str] = set()
     if store is not None:
@@ -476,13 +466,10 @@ def execute(units: Iterable[WorkUnit],
             _UNITS_QUARANTINED.inc(kind=result.kind)
             obs.event("unit.quarantine", unit=result.unit_id,
                       reason=quarantine_reason)
-            obs.BUS.emit("unit.quarantine", result)
             if store is not None:
                 store.append_quarantine(result, quarantine_reason)
-        else:
-            obs.BUS.emit("unit.commit", result)
-            if store is not None:
-                store.append_result(result)
+        elif store is not None:
+            store.append_result(result)
         if on_result is not None:
             on_result(result)
 
@@ -504,7 +491,6 @@ def execute(units: Iterable[WorkUnit],
         if attempt < options.retries and not poison:
             _UNIT_RETRIES.inc(kind=r.kind)
             obs.event("unit.retry", unit=r.unit_id, attempt=attempt)
-            obs.BUS.emit("unit.retry", r)
             retry.append(by_id[r.unit_id])
             return
         if store is not None and options.quarantine:
@@ -516,56 +502,31 @@ def execute(units: Iterable[WorkUnit],
         else:
             commit(r)
 
-    # Telemetry consumes the engine's event stream rather than being
-    # called directly; subscriptions are scoped to this execute() call.
-    subscriptions = obs.BUS.subscribed(
-        ("unit.commit", telemetry.record),
-        ("unit.retry", telemetry.note_retry),
-        ("unit.quarantine", telemetry.note_quarantined),
-        ("engine.watchdog.summary", telemetry.note_watchdog),
-    )
     attempt = 0
     guard = SignalGuard() if options.handle_signals else None
     interrupted = False
-    with subscriptions:
-        if guard is not None:
-            guard.__enter__()
-        try:
-            while pending and not interrupted:
-                if attempt > 0:
-                    time.sleep(options.backoff * (2 ** (attempt - 1)))
-                by_id = {u.unit_id: u for u in pending}
-                retry = []
-                pooled = processes > 1 and len(pending) > 1
-                results = []
-                with obs.span("engine.wave", attempt=attempt,
-                              pending=len(pending),
-                              mode="pool" if pooled else "serial"):
-                    if pooled:
-                        try:
-                            results, interrupted = _run_wave_pool(
-                                pending, processes, options, guard, attempt)
-                        except (OSError, ValueError) as exc:
-                            # no fork / fd exhaustion / bad pool size:
-                            # degrade, don't die
-                            telemetry.note_degraded(
-                                f"pool unavailable ({exc}); "
-                                "running serially")
-                            pooled = False
-                    if not pooled:
-                        interrupted = _run_wave_serial(pending, settle,
-                                                       guard, attempt)
-                for r in results:
-                    settle(r)
-                pending = retry
-                attempt += 1
-            if interrupted:
-                signum = (guard.signum if guard is not None
-                          and guard.signum else _signal.SIGINT)
-                exc = CampaignInterrupted(signum, committed=len(done))
-                exc.results = done
-                raise exc
-        finally:
-            if guard is not None:
-                guard.__exit__(None, None, None)
+    with guard if guard is not None else contextlib.nullcontext():
+        while pending and not interrupted:
+            if attempt > 0:
+                time.sleep(options.backoff * (2 ** (attempt - 1)))
+            by_id = {u.unit_id: u for u in pending}
+            retry = []
+            pooled = processes > 1 and len(pending) > 1
+            with obs.span("engine.wave", attempt=attempt,
+                          pending=len(pending),
+                          mode="pool" if pooled else "serial"):
+                if pooled:
+                    interrupted = _run_wave_pool(pending, processes, options,
+                                                 settle, guard, attempt)
+                else:
+                    interrupted = _run_wave_serial(pending, settle, guard,
+                                                   attempt)
+            pending = retry
+            attempt += 1
+    if interrupted:
+        signum = (guard.signum if guard is not None and guard.signum
+                  else _signal.SIGINT)
+        exc = CampaignInterrupted(signum, committed=len(done))
+        exc.results = done
+        raise exc
     return done

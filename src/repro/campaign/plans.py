@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from repro import obs
 from repro.common.exceptions import ConfigError
-from repro.campaign.engine import EngineConfig, WorkUnit, execute
+from repro.campaign.engine import EngineConfig, UnitResult, WorkUnit, execute
 from repro.campaign.goldens import CHECKPOINT_CACHE, GOLDEN_CACHE
 
 #: campaign kind -> module that defines its CAMPAIGN_SPEC (lazy import
@@ -86,8 +86,8 @@ def ensure_kind_loaded(kind: str) -> None:
 
 
 def run_campaign(spec, config: dict, options: EngineConfig, *, store=None,
-                 telemetry=None, build: Callable[[dict], CampaignPlan]
-                 | None = None):
+                 on_result: Callable[[UnitResult], None] | None = None,
+                 build: Callable[[dict], CampaignPlan] | None = None):
     """Run one campaign end to end and return ``spec.aggregate``.
 
     With a *store* (:class:`~repro.campaign.store.CampaignStore`) the
@@ -98,9 +98,10 @@ def run_campaign(spec, config: dict, options: EngineConfig, *, store=None,
     are skipped and their results merged into the aggregate. While the
     call runs, golden runs spill to ``<dir>/goldens/`` and checkpoint
     traces to ``<dir>/checkpoints/``, so a resume in a fresh process
-    reuses them. *build* replaces ``spec.build`` for callers that supply
-    inputs the config only fingerprints (``run_gate_campaign``'s
-    stimuli).
+    reuses them. *on_result* is passed to
+    :func:`~repro.campaign.engine.execute` (the CLI's progress line).
+    *build* replaces ``spec.build`` for callers that supply inputs the
+    config only fingerprints (``run_gate_campaign``'s stimuli).
     """
     if store is not None:
         if store.manifest_path.exists():
@@ -109,15 +110,13 @@ def run_campaign(spec, config: dict, options: EngineConfig, *, store=None,
         CHECKPOINT_CACHE.persist_to(store.directory / CHECKPOINTS_DIRNAME)
     try:
         plan = (build or spec.build)(config)
-        if telemetry is not None:
-            telemetry.note_warm(*plan.warm_stats)
         if store is not None and not store.manifest_path.exists():
             store.write_manifest(plan.kind, plan.config, len(plan.units),
                                  extra={"golden_warm": {
                                      "hits": plan.warm_stats[0],
                                      "misses": plan.warm_stats[1]}})
         results = execute(plan.units, options, context=plan.context,
-                          store=store, telemetry=telemetry)
+                          store=store, on_result=on_result)
     finally:
         if store is not None:
             GOLDEN_CACHE.persist_to(None)

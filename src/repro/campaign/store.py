@@ -177,13 +177,21 @@ class CampaignStore:
 
     # -- summary -------------------------------------------------------
     def status(self) -> dict:
-        """Aggregate view used by ``python -m repro.campaign status``."""
+        """The campaign's tally, computed from the sealed records alone:
+        units, items, pruned items, retries, golden-cache hits and the
+        summed per-unit ``accel`` stats (``python -m repro.campaign
+        status``)."""
         manifest = self.load_manifest()
         results = self.load_results()
         quarantined = self.load_quarantine()
         ok = [r for r in results.values() if r.ok]
         failed = [r for r in results.values() if not r.ok]
         items = sum(r.items for r in ok)
+        accel: dict = {}
+        for r in ok:
+            for k, v in (r.accel or {}).items():
+                if isinstance(v, (int, float)) and not isinstance(v, bool):
+                    accel[k] = accel.get(k, 0) + v
         elapsed = sum(r.elapsed for r in results.values())
         warm = manifest.get("golden_warm", {})
         hits = sum(r.cache_hits for r in results.values()) + warm.get("hits", 0)
@@ -205,6 +213,7 @@ class CampaignStore:
             "integrity_issues": len(self.last_scan.issues)
             if self.last_scan else 0,
             "items": items,
+            "pruned": sum(r.pruned for r in ok),
             "unit_seconds": round(elapsed, 3),
             "items_per_sec": round(items / elapsed, 2) if elapsed else 0.0,
             "retries": sum(r.retries for r in results.values()),
@@ -212,4 +221,5 @@ class CampaignStore:
             "cache_misses": misses,
             "cache_hit_rate": round(hits / (hits + misses), 4)
             if hits + misses else 0.0,
+            "accel": accel,
         }

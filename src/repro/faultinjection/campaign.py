@@ -25,7 +25,6 @@ from repro.campaign.engine import (
     default_processes,
     get_context,
     register_runner,
-    shard_of,
 )
 from repro.campaign.plans import CampaignPlan, run_campaign
 from repro.common.exceptions import ConfigError
@@ -456,9 +455,8 @@ def _build_gate_plan(config: CampaignConfig, stimuli: list[Stimulus],
     cap = 64 * config.words
     units = []
     for b, start in enumerate(range(0, len(faults), cap)):
-        uid = f"gate/{config.unit}/{b:05d}"
         units.append(WorkUnit(
-            unit_id=uid, kind="gate", shard=shard_of(uid, config.seed),
+            unit_id=f"gate/{config.unit}/{b:05d}", kind="gate",
             payload={"batch": b,
                      "faults": [(f.net, f.stuck_at)
                                 for f in faults[start:start + cap]]}))
@@ -480,7 +478,7 @@ def _stimuli_digest(stimuli: list[Stimulus]) -> str:
 
 def run_gate_campaign(config: CampaignConfig,
                       stimuli: list[Stimulus], *,
-                      store=None, telemetry=None,
+                      store=None,
                       max_units: int | None = None) -> GateCampaignResult:
     """Run the gate-level campaign for one unit over *stimuli*.
 
@@ -502,7 +500,6 @@ def run_gate_campaign(config: CampaignConfig,
                            timeout=config.timeout, retries=config.retries)
     return run_campaign(
         CAMPAIGN_SPEC, plan_config, options, store=store,
-        telemetry=telemetry,
         build=lambda cfg: _build_gate_plan(config, stimuli, cfg))
 
 

@@ -11,7 +11,7 @@ the answer *yes* whenever the data allows:
   frontier rewinds exactly to the dropped units;
 * a corrupt or truncated ``manifest.json`` is restored from the
   ``manifest.json.bak`` shadow copy written on every manifest update;
-* a corrupt ``metrics.json`` is set aside (telemetry is derivable);
+* a corrupt ``metrics.json`` is set aside (trace metrics are derivable);
 * a corrupt spilled golden-cache entry is deleted (it would have been
   rejected and recomputed on read anyway).
 
@@ -209,7 +209,7 @@ def verify_campaign(directory: str | Path) -> Report:
         _, problem = _load_json(metrics_path)
         if problem:
             report.add("warning", METRICS_NAME,
-                       f"{problem} (telemetry only; set aside on repair)")
+                       f"{problem} (trace metrics only; set aside on repair)")
     _check_goldens(report, directory)
     return report
 

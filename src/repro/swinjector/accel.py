@@ -54,7 +54,8 @@ class _EarlyMasked(Exception):
 
 @dataclass
 class AccelStats:
-    """Per-work-unit acceleration accounting (surfaced in telemetry)."""
+    """Per-work-unit acceleration accounting (summed by the store's
+    ``status()``)."""
 
     restores: int = 0
     saved_instructions: int = 0

@@ -27,7 +27,6 @@ from repro.campaign.engine import (
     WorkUnit,
     default_processes,
     register_runner,
-    shard_of,
 )
 from repro.campaign.goldens import (
     CHECKPOINT_CACHE,
@@ -389,8 +388,7 @@ class EprCampaignSpec:
                                   for app in config["apps"])
         h1, m1 = GOLDEN_CACHE.stats()
         units = tuple(
-            WorkUnit(unit_id=uid, kind="epr", shard=shard_of(uid,
-                                                             config["seed"]),
+            WorkUnit(unit_id=uid, kind="epr",
                      payload={"app": app, "model": model, "indices": indices,
                               "scale": config["scale"],
                               "seed": config["seed"],
@@ -447,7 +445,7 @@ CAMPAIGN_SPEC = EprCampaignSpec()
 
 
 def run_epr_campaign(config: SwCampaignConfig | None = None, *,
-                     store=None, telemetry=None,
+                     store=None,
                      max_units: int | None = None,
                      chunk: int = DEFAULT_CHUNK) -> EprResult:
     """Run the full software-level campaign of Figures 10/11.
@@ -465,4 +463,4 @@ def run_epr_campaign(config: SwCampaignConfig | None = None, *,
                            fail_fast=config.fail_fast, max_units=max_units,
                            timeout=config.timeout, retries=config.retries)
     return run_campaign(CAMPAIGN_SPEC, CAMPAIGN_SPEC.config_of(config, chunk),
-                        options, store=store, telemetry=telemetry)
+                        options, store=store)

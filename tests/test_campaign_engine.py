@@ -12,9 +12,12 @@ Covers the three engine guarantees the campaigns rely on:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,21 +25,20 @@ from repro.campaign import (
     CampaignStore,
     CampaignUnitError,
     EngineConfig,
-    Telemetry,
     UnitResult,
     WorkUnit,
     chunked,
     config_fingerprint,
     default_processes,
     execute,
-    shard_of,
 )
-from repro.campaign.engine import DEFAULT_SHARDS, register_runner
+from repro.campaign.engine import register_runner
 from repro.campaign.goldens import GOLDEN_CACHE, golden_key
 from repro.common.exceptions import ConfigError
 from repro.errormodels.models import ErrorModel
 from repro.faultinjection import CampaignConfig, run_gate_campaign
 from repro.profiling import stimuli_from_program
+from repro.resilience import integrity
 from repro.swinjector import SwCampaignConfig, run_epr_campaign
 from repro.workloads import get_workload
 
@@ -66,6 +68,21 @@ def _flaky(payload: dict) -> dict:
     raise RuntimeError("transient failure, try again")
 
 
+@register_runner("test-await-commit")
+def _await_commit(payload: dict) -> dict:
+    """Unit 1 succeeds only once unit 0's record is in the store."""
+    if payload["x"] == 1:
+        results = Path(payload["results"])
+        deadline = time.monotonic() + 5.0
+        while not (results.exists()
+                   and payload["wait_for"] in results.read_text()):
+            if time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"{payload['wait_for']} not committed within 5 s")
+            time.sleep(0.02)
+    return {"items": 1}
+
+
 def _gate_setup(**overrides) -> tuple[CampaignConfig, list]:
     """A small serial decoder campaign over vectoradd's stimuli."""
     stimuli = stimuli_from_program(
@@ -77,7 +94,7 @@ def _gate_setup(**overrides) -> tuple[CampaignConfig, list]:
 
 def _units(kind: str, n: int, **extra) -> list[WorkUnit]:
     return [WorkUnit(unit_id=f"{kind}/{i:03d}", kind=kind,
-                     payload={"x": i, **extra}, shard=shard_of(f"{kind}/{i}"))
+                     payload={"x": i, **extra})
             for i in range(n)]
 
 
@@ -101,22 +118,54 @@ class TestEngineCore:
         results = execute(units, EngineConfig(processes=1), store=store)
         assert set(results) == {"test-echo/002", "test-echo/003"}
 
+    def test_pool_commits_each_result_as_it_returns(self, tmp_path):
+        # a pool wave appends unit 0 while unit 1 is still running, so a
+        # crash of the parent mid-wave loses only the units in flight
+        store = CampaignStore(tmp_path / "c")
+        units = _units("test-await-commit", 2,
+                       results=str(store.results_path),
+                       wait_for="test-await-commit/000")
+        results = execute(units, EngineConfig(processes=2, fail_fast=True),
+                          store=store)
+        assert all(r.ok and r.retries == 0 for r in results.values())
+        assert store.completed_ids() == set(results)
+
+    def test_store_error_in_pool_wave_propagates(self, tmp_path,
+                                                 monkeypatch):
+        # only pool creation degrades to serial: a full disk while
+        # settling must not re-run the units committed before it
+        store = CampaignStore(tmp_path / "c")
+        appended = []
+        real_append = store.append_result
+
+        def append(result):
+            appended.append(result.unit_id)
+            if len(appended) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_append(result)
+
+        monkeypatch.setattr(store, "append_result", append)
+        with pytest.raises(OSError):
+            execute(_units("test-echo", 4), EngineConfig(processes=2),
+                    store=store)
+        assert appended == ["test-echo/000", "test-echo/001"]
+        assert store.completed_ids() == {"test-echo/000"}
+
     def test_max_units_bounds_the_run(self):
         results = execute(_units("test-echo", 5),
                           EngineConfig(processes=1, max_units=2))
         assert len(results) == 2
 
     def test_crash_is_recorded_after_retries(self):
-        telemetry = Telemetry()
+        seen = []
         results = execute(_units("test-crash", 1),
                           EngineConfig(processes=1, retries=2, backoff=0.0),
-                          telemetry=telemetry)
+                          on_result=seen.append)
         r = results["test-crash/000"]
         assert not r.ok
         assert r.retries == 2
         assert "ValueError" in r.error and "synthetic crash" in r.error
-        assert telemetry.totals.failures == 1
-        assert telemetry.totals.retries >= 2
+        assert seen == [r]  # the failure is committed once, after retries
 
     def test_fail_fast_propagates_worker_traceback(self):
         with pytest.raises(CampaignUnitError) as exc:
@@ -133,13 +182,6 @@ class TestEngineCore:
         r = results["flaky/0"]
         assert r.ok
         assert r.retries >= 1
-
-    def test_shards_are_deterministic_and_bounded(self):
-        ids = [f"epr/gemm/WV/{i:05d}" for i in range(200)]
-        shards = [shard_of(uid, seed=7) for uid in ids]
-        assert shards == [shard_of(uid, seed=7) for uid in ids]
-        assert set(shards) <= set(range(DEFAULT_SHARDS))
-        assert len(set(shards)) > 1  # actually spreads
 
     def test_chunked(self):
         assert chunked(range(5), 2) == [[0, 1], [2, 3], [4]]
@@ -160,9 +202,9 @@ class TestStore:
     def test_append_and_reload(self, tmp_path):
         store = CampaignStore(tmp_path / "c")
         store.write_manifest("test-echo", {"n": 2}, total_units=2)
-        store.append_result(UnitResult("u/0", "test-echo", 0, ok=True,
+        store.append_result(UnitResult("u/0", "test-echo", ok=True,
                                        value={"items": 3}, elapsed=0.5))
-        store.append_result(UnitResult("u/1", "test-echo", 1, ok=False,
+        store.append_result(UnitResult("u/1", "test-echo", ok=False,
                                        error="boom", elapsed=0.1))
         results = store.load_results()
         assert results["u/0"].items == 3
@@ -221,15 +263,15 @@ class TestGoldenCache:
         assert c.key != a.key
         assert GOLDEN_CACHE.misses == 2
 
-    def test_campaign_hit_rate_above_90pct(self):
+    def test_campaign_hit_rate_above_90pct(self, tmp_path):
         GOLDEN_CACHE.clear()
-        telemetry = Telemetry()
         cfg = SwCampaignConfig(apps=("vectoradd",),
                                models=(ErrorModel.WV, ErrorModel.IIO),
                                injections_per_model=10, scale="tiny",
                                processes=1)
-        run_epr_campaign(cfg, telemetry=telemetry, chunk=1)
-        assert telemetry.cache_hit_rate() > 0.9
+        store = CampaignStore(tmp_path / "c")
+        run_epr_campaign(cfg, store=store, chunk=1)
+        assert store.status()["cache_hit_rate"] > 0.9
         # one golden compute per (app, scale, seed), never per injection
         assert GOLDEN_CACHE.misses == 1
 
@@ -282,10 +324,29 @@ class TestEprResume:
         store = CampaignStore(tmp_path / "campaign")
         run_epr_campaign(cfg, store=store, chunk=2)
         before = store.results_path.read_text()
-        telemetry = Telemetry()
-        run_epr_campaign(cfg, store=store, telemetry=telemetry, chunk=2)
-        assert telemetry.totals.units == 0  # nothing re-executed
-        assert store.results_path.read_text() == before
+        run_epr_campaign(cfg, store=store, chunk=2)
+        assert store.results_path.read_text() == before  # nothing re-run
+
+    def test_store_with_retired_shard_field_resumes(self, tmp_path):
+        # older stores sealed a ``shard`` field into every record; they
+        # must still load, resume with nothing re-run and aggregate alike
+        cfg = SwCampaignConfig(**self.CFG, processes=1)
+        store = CampaignStore(tmp_path / "campaign")
+        fresh = run_epr_campaign(cfg, store=store, chunk=2)
+        old = "".join(
+            json.dumps(integrity.seal({"unit_id": body["unit_id"],
+                                       "kind": body["kind"],
+                                       "shard": i % 8, **body})) + "\n"
+            for i, body in enumerate(
+                integrity.scan_jsonl(store.results_path).records))
+        store.results_path.write_text(old)
+        resumed = run_epr_campaign(cfg, store=store, chunk=2)
+        assert store.results_path.read_text() == old  # 0 units re-run
+        assert store.status()["complete"]
+        for m in cfg.models:
+            assert resumed.counts("vectoradd", m) == \
+                fresh.counts("vectoradd", m)
+        assert resumed.overall_epr() == fresh.overall_epr()
 
     def test_truncated_results_requeue_units(self, tmp_path):
         cfg = SwCampaignConfig(**self.CFG, processes=1)
@@ -344,6 +405,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"complete": true' in out
         assert '"injections": 4' in out
+
+    def test_resume_does_not_count_quarantined_units_pending(self, tmp_path,
+                                                             capsys):
+        from repro.campaign.__main__ import main
+
+        d = tmp_path / "cli"
+        assert main(["run", "--apps", "vectoradd", "--models", "WV",
+                     "--injections", "6", "--chunk", "2",
+                     "--interrupt-after", "1", "--serial",
+                     "--dir", str(d)]) == 0
+        # of the 3 units, 1 completed and 1 is parked: execute skips it
+        CampaignStore(d).append_quarantine(
+            UnitResult("epr/vectoradd/WV/00004+2", "epr", ok=False,
+                       error="boom"), "retries exhausted after 3 attempts")
+        capsys.readouterr()
+        assert main(["resume", "--dir", str(d), "--serial"]) == 3  # holes
+        assert "1 of 3 units pending" in capsys.readouterr().out
+
+    def test_run_logs_progress_and_status_tallies_accel(self, tmp_path,
+                                                         capsys):
+        from repro.campaign.__main__ import main
+
+        d = tmp_path / "cli"
+        assert main(["run", "--apps", "vectoradd", "--models", "WV",
+                     "--injections", "20", "--chunk", "2", "--serial",
+                     "--static-prune", "--dir", str(d)]) == 0
+        out = capsys.readouterr().out
+        progress = [ln for ln in out.splitlines()
+                    if ln.startswith("[campaign]")]
+        assert len(progress) == 1  # every 10 units
+        assert progress[0].startswith("[campaign] 10 units, 20 items")
+        status = json.loads(out[out.index("\n{") + 1:out.index("\n}") + 2])
+        results = CampaignStore(d).load_results().values()
+        assert status["pruned"] == sum(r.pruned for r in results)
+        assert status["accel"]["collapsed"] == \
+            sum(r.accel["collapsed"] for r in results)
+        assert "enabled" not in status["accel"]  # flags are not summed
 
     def test_status_on_non_campaign_dir_errors(self, tmp_path):
         from repro.campaign.__main__ import main

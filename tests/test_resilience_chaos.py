@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import CampaignStore, EngineConfig, WorkUnit, execute
-from repro.campaign.engine import register_runner, shard_of
+from repro.campaign.engine import register_runner
 from repro.errormodels.models import ErrorModel
 from repro.resilience import chaos
 from repro.resilience.verify import normalize_record, verify_campaign
@@ -256,7 +256,7 @@ class TestPoolChaosConvergence:
             if sum(_kill_rolls(s, uids, 0.25)[(u, 0)] for u in uids) == 1
             and not any(_kill_rolls(s, uids, 0.25)[(u, 1)] for u in uids))
         units = [WorkUnit(unit_id=uid, kind="test-chaos-echo",
-                          payload={"x": i}, shard=shard_of(uid))
+                          payload={"x": i})
                  for i, uid in enumerate(uids)]
         store = CampaignStore(tmp_path / "campaign")
         store.write_manifest("test-chaos-echo", {}, total_units=len(units))
@@ -277,8 +277,8 @@ class TestPoolChaosConvergence:
 
     def test_torn_appends_rewind_only_the_torn_units(self, tmp_path):
         units = [WorkUnit(unit_id=f"test-chaos-echo/{i:03d}",
-                          kind="test-chaos-echo", payload={"x": i},
-                          shard=shard_of(str(i))) for i in range(8)]
+                          kind="test-chaos-echo", payload={"x": i})
+                 for i in range(8)]
         store = CampaignStore(tmp_path / "campaign")
         store.write_manifest("test-chaos-echo", {}, total_units=len(units))
 

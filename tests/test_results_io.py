@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CampaignStore, Telemetry, get_spec
+from repro.campaign import CampaignStore, get_spec
 from repro.errormodels.models import ErrorModel
 from repro.faultinjection import CampaignConfig, run_gate_campaign
 from repro.profiling import stimuli_from_program
@@ -71,12 +71,10 @@ class TestCheckpointing:
     def test_resume_produces_identical_result(self, gate_run, gate_stimuli):
         gate_result, store = gate_run
         before = store.results_path.read_text()
-        telemetry = Telemetry()
         resumed = run_gate_campaign(
             CampaignConfig(unit="decoder", max_faults=128, max_stimuli=8),
-            gate_stimuli, store=store, telemetry=telemetry)
-        assert telemetry.totals.units == 0  # a complete store re-runs none
-        assert store.results_path.read_text() == before
+            gate_stimuli, store=store)
+        assert store.results_path.read_text() == before  # nothing re-run
         assert resumed.category_counts() == gate_result.category_counts()
         assert resumed.faults_per_error() == gate_result.faults_per_error()
 
@@ -89,10 +87,9 @@ class TestCheckpointing:
         run_gate_campaign(cfg, gate_stimuli, store=store)
         lines = store.results_path.read_text().splitlines()
         store.results_path.write_text("\n".join(lines[:-1]) + "\n")
-        telemetry = Telemetry()
-        resumed = run_gate_campaign(cfg, gate_stimuli, store=store,
-                                    telemetry=telemetry)
-        assert telemetry.totals.units == 1
+        resumed = run_gate_campaign(cfg, gate_stimuli, store=store)
+        # exactly the cut batch was re-run and appended
+        assert len(store.results_path.read_text().splitlines()) == len(lines)
         plain = run_gate_campaign(cfg, gate_stimuli)
         assert resumed.category_counts() == plain.category_counts()
         assert resumed.faults_per_error() == plain.faults_per_error()

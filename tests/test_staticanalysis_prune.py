@@ -13,7 +13,6 @@ import pytest
 
 from repro.campaign.engine import EngineConfig, execute
 from repro.campaign.plans import get_spec
-from repro.campaign.telemetry import Telemetry
 from repro.errormodels.descriptor import ErrorDescriptor
 from repro.errormodels.models import ErrorModel
 from repro.isa.instruction import RZ, Instruction
@@ -173,14 +172,13 @@ class TestCampaignEquivalence:
             apps=self.APPS, models=self.MODELS, injections_per_model=8,
             chunk=4, scale="tiny", static_prune=static_prune)
         plan = spec.build(config)
-        telemetry = Telemetry()
         results = execute(plan.units, EngineConfig(processes=2),
-                          context=plan.context, telemetry=telemetry)
-        return spec.aggregate(config, results), telemetry, spec
+                          context=plan.context)
+        return spec.aggregate(config, results), results.values(), spec
 
     def test_pruned_campaign_identical_and_smaller(self):
-        base, base_tel, spec = self._run(static_prune=False)
-        pruned, pruned_tel, _ = self._run(static_prune=True)
+        base, base_units, spec = self._run(static_prune=False)
+        pruned, pruned_units, _ = self._run(static_prune=True)
 
         for app in self.APPS:
             for model in (ErrorModel(m) for m in self.MODELS):
@@ -196,10 +194,11 @@ class TestCampaignEquivalence:
         assert all(o.outcome == "masked"
                    for o in pruned.outcomes if o.pruned)
 
-        # the speedup is visible in telemetry: same item count, fewer sims
-        assert pruned_tel.report()["pruned"] == n_pruned
-        assert base_tel.report()["pruned"] == 0
-        assert pruned_tel.report()["items"] == base_tel.report()["items"]
+        # the speedup is visible per unit: same item count, fewer sims
+        assert sum(r.pruned for r in pruned_units) == n_pruned
+        assert sum(r.pruned for r in base_units) == 0
+        assert sum(r.items for r in pruned_units) == \
+            sum(r.items for r in base_units)
 
         # and in the summary
         assert spec.summarize(pruned)["pruned"] == n_pruned
